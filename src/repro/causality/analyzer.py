@@ -11,7 +11,7 @@ performance analyst needs into a :class:`CausalityReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.causality.classes import ContrastClasses, classify_instances
 from repro.causality.mining import (
@@ -30,7 +30,6 @@ from repro.trace.signatures import ComponentFilter
 from repro.trace.stream import ScenarioInstance
 from repro.waitgraph.aggregate import AggregatedWaitGraph, aggregate_wait_graphs
 from repro.waitgraph.builder import build_wait_graph
-from repro.waitgraph.graph import WaitGraph
 
 
 @dataclass
@@ -99,29 +98,12 @@ class CausalityAnalysis:
         self.segment_bound = segment_bound
         self.reduce_hw = reduce_hw
 
-    def _graphs(
-        self,
-        instances: Iterable[ScenarioInstance],
-        prebuilt: Optional[Dict[tuple, WaitGraph]] = None,
-    ) -> List[WaitGraph]:
-        graphs = []
-        for instance in instances:
-            if prebuilt is not None and instance.key in prebuilt:
-                graphs.append(prebuilt[instance.key])
-            else:
-                graph = build_wait_graph(instance)
-                if prebuilt is not None:
-                    prebuilt[instance.key] = graph
-                graphs.append(graph)
-        return graphs
-
     def analyze(
         self,
         instances: Iterable[ScenarioInstance],
         t_fast: int,
         t_slow: int,
         scenario: str = "",
-        graph_cache: Optional[Dict[tuple, WaitGraph]] = None,
     ) -> CausalityReport:
         """Run the full pipeline over one scenario's instances."""
         instances = list(instances)
@@ -130,13 +112,15 @@ class CausalityAnalysis:
         name = scenario or instances[0].scenario
         classes = classify_instances(instances, t_fast, t_slow, scenario=name)
 
-        fast_graphs = self._graphs(classes.fast, graph_cache)
-        slow_graphs = self._graphs(classes.slow, graph_cache)
         fast_awg = aggregate_wait_graphs(
-            fast_graphs, self.component_filter, reduce_hw=self.reduce_hw
+            [build_wait_graph(instance) for instance in classes.fast],
+            self.component_filter,
+            reduce_hw=self.reduce_hw,
         )
         slow_awg = aggregate_wait_graphs(
-            slow_graphs, self.component_filter, reduce_hw=self.reduce_hw
+            [build_wait_graph(instance) for instance in classes.slow],
+            self.component_filter,
+            reduce_hw=self.reduce_hw,
         )
 
         return assemble_report(

@@ -40,6 +40,21 @@ class ContrastClasses:
         )
 
 
+def contrast_class(duration: int, t_fast: int, t_slow: int) -> str:
+    """The class of one execution time: ``"fast"``, ``"slow"`` or ``"between"``.
+
+    Strictly below ``T_fast`` is fast and strictly above ``T_slow`` is
+    slow; durations in the gap belong to neither class.  Every contrast
+    split — :func:`classify_instances` and the pipeline's per-chunk
+    partials — goes through this one rule.
+    """
+    if duration < t_fast:
+        return "fast"
+    if duration > t_slow:
+        return "slow"
+    return "between"
+
+
 def classify_instances(
     instances: Iterable[ScenarioInstance],
     t_fast: int,
@@ -63,11 +78,6 @@ def classify_instances(
                 f"instance of {instance.scenario!r} passed to the "
                 f"{scenario!r} classifier"
             )
-        duration = instance.duration
-        if duration < t_fast:
-            classes.fast.append(instance)
-        elif duration > t_slow:
-            classes.slow.append(instance)
-        else:
-            classes.between.append(instance)
+        side = contrast_class(instance.duration, t_fast, t_slow)
+        getattr(classes, side).append(instance)
     return classes

@@ -43,14 +43,11 @@ from repro.causality.filtering import ByDesignKnowledge, filter_by_design
 from repro.causality.thresholds import suggest_for_corpus
 from repro.errors import ConfigError, ReproError
 from repro.evaluation.drivertypes import DRIVER_TYPE_ORDER
-from repro.evaluation.study import group_by_scenario, run_study
-from repro.impact import ImpactAnalysis
 from repro.report.tables import Table, fmt_pct, fmt_ratio
 from repro.sim.corpus import CorpusConfig, generate_corpus
 from repro.sim.sched import POLICY_NAMES
 from repro.sim.workloads.registry import (
     PATHOLOGY_SCENARIO_NAMES,
-    SCENARIO_NAMES,
     scenario_spec,
 )
 from repro.trace import (
@@ -91,8 +88,8 @@ def _trace_sources(path: str) -> List[str]:
 def _add_worker_options(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--workers", type=int, default=1,
-        help="analysis processes; >1 fans the corpus out over a "
-             "map-reduce pipeline with identical output",
+        help="map-reduce pipeline processes; 1 analyzes in-process, "
+             ">1 fans the corpus out, with identical output",
     )
     subparser.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
@@ -136,7 +133,7 @@ def _validate_pipeline_options(args: argparse.Namespace) -> None:
     if workers < 1:
         raise ConfigError(
             f"--workers must be >= 1, got {workers} "
-            "(1 = sequential, N > 1 = N analysis processes)"
+            "(1 = in-process, N > 1 = N analysis processes)"
         )
     chunk_size = getattr(args, "chunk_size", None)
     if chunk_size is not None and chunk_size < 1:
@@ -150,86 +147,51 @@ def _validate_pipeline_options(args: argparse.Namespace) -> None:
     validate_max_retries(getattr(args, "max_retries", 0))
 
 
-def _open_cli_store(args: argparse.Namespace):
-    """The run's ArtifactStore handle, or None when --store wasn't given."""
-    if not getattr(args, "store", None):
-        return None
-    from repro.pipeline import open_store
+def _run_pipeline(args: argparse.Namespace, entry_point, *params, **options):
+    """Run one ``repro.pipeline`` entry point over the command's corpus.
 
-    return open_store(args.store)
-
-
-def _report_store(store) -> None:
-    """Print cache statistics to stderr, keeping stdout byte-identical."""
-    if store is None or store.session_lookups == 0:
-        return
-    print(
-        f"store: {store.hits} hits, {store.misses} misses "
-        f"({store.hit_rate:.1%} hit rate) in {store.directory}",
-        file=sys.stderr,
-    )
-
-
-def _map_phase_stats(args: argparse.Namespace):
-    """A stats sink for the pipeline when --verbose was given, else None."""
-    if not getattr(args, "verbose", False):
-        return None
-    from repro.pipeline import MapPhaseStats
-
-    return MapPhaseStats()
-
-
-def _report_stats(stats) -> None:
-    """Print the map-phase timing summary to stderr (stdout stays clean)."""
-    if stats is not None:
-        print(stats.summary(), file=sys.stderr)
-
-
-def _use_pipeline(args: argparse.Namespace, store) -> bool:
-    """Whether an analysis command routes through the parallel pipeline.
-
-    ``--verbose`` forces the pipeline even at ``--workers 1`` so there
-    is a map phase to time; its output is identical to the sequential
-    path by the pipeline's equivalence guarantee.  A non-strict
-    ``--on-error`` policy or a ``--health-json`` sidecar also force it:
-    fault isolation and run-health accounting live in the map phase.
+    Every analysis command goes through here: the corpus streams through
+    the map–reduce pipeline with the command's worker, store and
+    resilience options.  The map-phase summary (``--verbose``), store
+    statistics and run health go to stderr or the ``--health-json``
+    sidecar, so stdout stays byte-identical whatever is reported.
     """
-    return (
-        args.workers > 1
-        or store is not None
-        or getattr(args, "verbose", False)
-        or getattr(args, "on_error", "strict") != "strict"
-        or getattr(args, "health_json", None) is not None
-    )
-
-
-def _run_health(args: argparse.Namespace):
-    """A RunHealth collector for this invocation, or None when unwanted.
-
-    Health is tracked whenever someone will see it: a non-strict
-    ``--on-error`` policy, a ``--health-json`` sidecar, or ``--verbose``.
-    """
-    wanted = (
-        getattr(args, "on_error", "strict") != "strict"
-        or getattr(args, "health_json", None) is not None
-        or getattr(args, "verbose", False)
-    )
-    if not wanted:
-        return None
+    from repro.pipeline import MapPhaseStats, open_store
     from repro.resilience import RunHealth
 
-    return RunHealth()
-
-
-def _report_health(args: argparse.Namespace, health) -> None:
-    """Emit the run-health summary (stderr) and sidecar (``--health-json``)."""
-    if health is None:
-        return
-    if getattr(args, "verbose", False):
-        print(health.summary(), file=sys.stderr)
-    path = getattr(args, "health_json", None)
-    if path:
-        health.write_json(path)
+    store = open_store(args.store or None)
+    stats = MapPhaseStats() if args.verbose else None
+    # Health is tracked whenever someone will see it.
+    wants_health = (
+        args.verbose or args.on_error != "strict" or args.health_json
+    )
+    health = RunHealth() if wants_health else None
+    result = entry_point(
+        _trace_sources(args.traces),
+        *params,
+        workers=args.workers,
+        chunk_size=args.chunk_size,
+        store=store,
+        stats=stats,
+        on_error=args.on_error,
+        max_retries=args.max_retries,
+        health=health,
+        **options,
+    )
+    if stats is not None:
+        print(stats.summary(), file=sys.stderr)
+    if store is not None and store.session_lookups:
+        print(
+            f"store: {store.hits} hits, {store.misses} misses "
+            f"({store.hit_rate:.1%} hit rate) in {store.directory}",
+            file=sys.stderr,
+        )
+    if health is not None:
+        if args.verbose:
+            print(health.summary(), file=sys.stderr)
+        if args.health_json:
+            health.write_json(args.health_json)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -266,34 +228,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_impact(args: argparse.Namespace) -> int:
-    _validate_pipeline_options(args)
-    scenarios = args.scenario if args.scenario else None
-    store = _open_cli_store(args)
-    if _use_pipeline(args, store):
-        from repro.pipeline import parallel_impact
+    from repro.pipeline import parallel_impact
 
-        stats = _map_phase_stats(args)
-        health = _run_health(args)
-        result = parallel_impact(
-            _trace_sources(args.traces),
-            component_patterns=args.components,
-            scenarios=scenarios,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            store=store,
-            stats=stats,
-            on_error=args.on_error,
-            max_retries=args.max_retries,
-            health=health,
-        )
-        _report_stats(stats)
-        _report_store(store)
-        _report_health(args, health)
-    else:
-        streams = _load_traces(args.traces)
-        result = ImpactAnalysis(args.components).analyze_corpus(
-            streams, scenarios=scenarios
-        )
+    _validate_pipeline_options(args)
+    result = _run_pipeline(
+        args,
+        parallel_impact,
+        component_patterns=args.components,
+        scenarios=args.scenario if args.scenario else None,
+    )
     table = Table(
         ["Metric", "Value"],
         title=f"Impact of {', '.join(args.components)}",
@@ -311,83 +254,36 @@ def _causality_thresholds(args: argparse.Namespace):
     """Resolve (t_fast, t_slow) from flags or the scenario registry."""
     if args.t_fast and args.t_slow:
         return args.t_fast * MILLISECONDS, args.t_slow * MILLISECONDS
-    if args.scenario in SCENARIO_NAMES:
-        spec = scenario_spec(args.scenario)
-        return spec.t_fast, spec.t_slow
-    return None
+    spec = scenario_spec(args.scenario)
+    return spec.t_fast, spec.t_slow
 
 
 def cmd_causality(args: argparse.Namespace) -> int:
     from repro.errors import AnalysisError
+    from repro.pipeline import parallel_causality
 
     _validate_pipeline_options(args)
-    store = _open_cli_store(args)
-    if _use_pipeline(args, store):
-        thresholds = _causality_thresholds(args)
-        if thresholds is None:
-            print(
-                "unknown scenario: pass --t-fast and --t-slow (milliseconds)",
-                file=sys.stderr,
-            )
-            return 1
-        from repro.pipeline import parallel_causality
-
-        stats = _map_phase_stats(args)
-        health = _run_health(args)
-        try:
-            report = parallel_causality(
-                _trace_sources(args.traces),
-                args.scenario,
-                *thresholds,
-                component_patterns=args.components,
-                segment_bound=args.k,
-                workers=args.workers,
-                chunk_size=args.chunk_size,
-                store=store,
-                stats=stats,
-                on_error=args.on_error,
-                max_retries=args.max_retries,
-                health=health,
-            )
-        except AnalysisError as error:
-            print(str(error), file=sys.stderr)
-            return 1
-        _report_stats(stats)
-        _report_store(store)
-        _report_health(args, health)
-        t_fast, t_slow = thresholds
-    else:
-        streams = _load_traces(args.traces)
-        instances = [
-            instance
-            for stream in streams
-            for instance in stream.instances
-            if instance.scenario == args.scenario
-        ]
-        if not instances:
-            known = sorted(
-                {i.scenario for s in streams for i in s.instances}
-            )
-            print(
-                f"no instances of {args.scenario!r}; scenarios present: "
-                + ", ".join(known),
-                file=sys.stderr,
-            )
-            return 1
-
-        thresholds = _causality_thresholds(args)
-        if thresholds is None:
-            print(
-                "unknown scenario: pass --t-fast and --t-slow (milliseconds)",
-                file=sys.stderr,
-            )
-            return 1
-        t_fast, t_slow = thresholds
-
-        analysis = CausalityAnalysis(args.components, segment_bound=args.k)
-        report = analysis.analyze(
-            instances, t_fast, t_slow, scenario=args.scenario
+    try:
+        t_fast, t_slow = _causality_thresholds(args)
+    except ConfigError as error:
+        print(
+            f"{error}; or pass --t-fast and --t-slow (milliseconds)",
+            file=sys.stderr,
         )
+        return 1
+    try:
+        report = _run_pipeline(
+            args,
+            parallel_causality,
+            args.scenario,
+            t_fast,
+            t_slow,
+            component_patterns=args.components,
+            segment_bound=args.k,
+        )
+    except AnalysisError as error:
+        print(str(error), file=sys.stderr)
+        return 1
     print(report.summary())
     patterns = report.patterns
     if args.filter_by_design:
@@ -410,29 +306,10 @@ def cmd_causality(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    _validate_pipeline_options(args)
-    store = _open_cli_store(args)
-    if _use_pipeline(args, store):
-        from repro.pipeline import parallel_study
+    from repro.pipeline import parallel_study
 
-        stats = _map_phase_stats(args)
-        health = _run_health(args)
-        study = parallel_study(
-            _trace_sources(args.traces),
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            store=store,
-            stats=stats,
-            on_error=args.on_error,
-            max_retries=args.max_retries,
-            health=health,
-        )
-        _report_stats(stats)
-        _report_store(store)
-        _report_health(args, health)
-    else:
-        streams = _load_traces(args.traces)
-        study = run_study(streams)
+    _validate_pipeline_options(args)
+    study = _run_pipeline(args, parallel_study)
     if args.markdown:
         from repro.report.markdown import save_study_markdown
 
@@ -474,30 +351,26 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.evaluation.compare import compare_impact, compare_patterns
+    from repro.pipeline import parallel_causality, parallel_impact
 
-    baseline_streams = _load_traces(args.baseline)
-    current_streams = _load_traces(args.current)
+    spec = scenario_spec(args.scenario)
 
-    def analyze(streams):
-        instances = [
-            instance
-            for stream in streams
-            for instance in stream.instances
-            if instance.scenario == args.scenario
-        ]
-        if not instances:
-            raise ReproError(
-                f"no instances of {args.scenario!r} in one of the corpora"
-            )
-        spec = scenario_spec(args.scenario)
-        report = CausalityAnalysis(args.components).analyze(
-            instances, spec.t_fast, spec.t_slow, scenario=args.scenario
+    def analyze(path):
+        sources = _trace_sources(path)
+        report = parallel_causality(
+            sources,
+            args.scenario,
+            spec.t_fast,
+            spec.t_slow,
+            component_patterns=args.components,
         )
-        impact = ImpactAnalysis(args.components).analyze_instances(instances)
+        impact = parallel_impact(
+            sources, args.components, scenarios=[args.scenario]
+        )
         return report, impact
 
-    baseline_report, baseline_impact = analyze(baseline_streams)
-    current_report, current_impact = analyze(current_streams)
+    baseline_report, baseline_impact = analyze(args.baseline)
+    current_report, current_impact = analyze(args.current)
 
     delta = compare_impact(baseline_impact, current_impact)
     print(f"Impact movement: {delta.summary()}")

@@ -23,13 +23,12 @@ multiplicity identically and the coverages are true fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.causality.analyzer import CausalityReport
 from repro.impact.metrics import ImpactAccumulator, ImpactResult
 from repro.trace.signatures import ComponentFilter
 from repro.waitgraph.builder import build_wait_graph
-from repro.waitgraph.graph import WaitGraph
 
 
 @dataclass(frozen=True)
@@ -73,20 +72,17 @@ class CoverageResult:
 
 
 def evaluate_coverage(
-    report: CausalityReport,
-    component_filter: ComponentFilter,
-    graph_cache: Optional[Dict[tuple, WaitGraph]] = None,
+    report: CausalityReport, component_filter: ComponentFilter
 ) -> CoverageResult:
-    """Compute the Table 2 coverages for one scenario's causality report."""
+    """Compute the Table 2 coverages for one scenario's causality report.
+
+    Rebuilds the slow class's Wait Graphs, so ``report.classes`` must
+    hold full scenario instances (a ``CausalityAnalysis.analyze``
+    report, not a pipeline one).
+    """
     accumulator = ImpactAccumulator(component_filter)
     for instance in report.classes.slow:
-        if graph_cache is not None and instance.key in graph_cache:
-            graph = graph_cache[instance.key]
-        else:
-            graph = build_wait_graph(instance)
-            if graph_cache is not None:
-                graph_cache[instance.key] = graph
-        accumulator.add_graph(graph)
+        accumulator.add_graph(build_wait_graph(instance))
     impact = accumulator.result() if accumulator.graphs else None
     return coverage_from_impact(report, impact)
 

@@ -4,8 +4,9 @@
 the paper's evaluation section reports: per-scenario contrast classes
 (Table 1), causality reports with ITC/TTC coverages (Table 2), ranking
 coverages (Table 3), driver-type categorization of top patterns
-(Table 4), and the corpus-wide impact metrics (§5.1).  Benchmarks and
-examples consume the resulting :class:`StudyResult`.
+(Table 4), and the corpus-wide impact metrics (§5.1).  It runs on the
+map–reduce pipeline, like ``repro study``.  Benchmarks and examples
+consume the resulting :class:`StudyResult`.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.causality.analyzer import CausalityAnalysis, CausalityReport
+from repro.causality.analyzer import CausalityReport
 from repro.causality.mining import DEFAULT_SEGMENT_BOUND
-from repro.causality.ranking import coverage_curve
-from repro.evaluation.coverage import CoverageResult, evaluate_coverage
-from repro.evaluation.drivertypes import categorize_top_patterns
-from repro.impact.analyzer import ImpactAnalysis, collect_instances
+from repro.evaluation.coverage import CoverageResult
+from repro.impact.analyzer import collect_instances
 from repro.impact.metrics import ImpactResult
-from repro.sim.workloads.registry import SCENARIO_NAMES, scenario_spec
+from repro.sim.workloads.registry import SCENARIO_NAMES
 from repro.trace.stream import ScenarioInstance, TraceStream
 
 RANKING_FRACTIONS = (0.1, 0.2, 0.3)
@@ -103,51 +102,24 @@ def run_study(
     workers: int = 1,
     chunk_size: Optional[int] = None,
 ) -> StudyResult:
-    """Run the full paper §5 evaluation over a corpus.
+    """Run the full paper §5 evaluation over in-memory streams.
 
-    A single Wait Graph cache is shared across impact analysis, causality
-    analysis and coverage evaluation, so each instance's graph is
-    constructed exactly once.
-
-    ``workers > 1`` delegates to the map–reduce pipeline
-    (:func:`repro.pipeline.parallel_study`): streams are analyzed in
-    chunks across a process pool and the partial results merge into a
-    study identical to the sequential one.
+    A thin call into the map–reduce pipeline
+    (:func:`repro.pipeline.parallel_study`), which builds each
+    instance's Wait Graph once and shares it between impact analysis,
+    classification and coverage.  The result is identical for any
+    ``workers``/``chunk_size``; each scenario's ``report.classes`` holds
+    :class:`~repro.pipeline.InstanceRef` descriptors, not full
+    scenario instances.
     """
-    if workers > 1:
-        from repro.pipeline import parallel_study
+    from repro.pipeline import parallel_study
 
-        return parallel_study(
-            list(streams),
-            scenarios=scenarios,
-            component_patterns=component_patterns,
-            segment_bound=segment_bound,
-            top_n=top_n,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
-    impact_analysis = ImpactAnalysis(component_patterns)
-    impact = impact_analysis.analyze_corpus(streams, scenarios=None)
-    graph_cache = impact_analysis.graph_cache
-
-    causality = CausalityAnalysis(component_patterns, segment_bound)
-    result = StudyResult(impact=impact)
-    for name, instances in group_by_scenario(streams, scenarios).items():
-        spec = scenario_spec(name)
-        report = causality.analyze(
-            instances,
-            spec.t_fast,
-            spec.t_slow,
-            scenario=name,
-            graph_cache=graph_cache,
-        )
-        coverage = evaluate_coverage(
-            report, causality.component_filter, graph_cache=graph_cache
-        )
-        result.scenarios[name] = ScenarioStudy(
-            report=report,
-            coverage=coverage,
-            ranking_coverage=coverage_curve(report.patterns, RANKING_FRACTIONS),
-            top_driver_types=categorize_top_patterns(report.patterns, top_n),
-        )
-    return result
+    return parallel_study(
+        list(streams),
+        scenarios=scenarios,
+        component_patterns=component_patterns,
+        segment_bound=segment_bound,
+        top_n=top_n,
+        workers=workers,
+        chunk_size=chunk_size,
+    )

@@ -2,8 +2,8 @@
 
 Takes scenario instances over trace streams plus the component name(s) to
 measure, constructs Wait Graphs and reports the three output metrics.
-Analyses can be scoped to a subset of scenarios and can reuse pre-built
-Wait Graphs (the causality analysis consumes the same graphs).
+Analyses can be scoped to a subset of scenarios.  Corpus-wide runs go
+through the map–reduce pipeline (:func:`repro.pipeline.parallel_impact`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.impact.metrics import ImpactAccumulator, ImpactResult
 from repro.trace.signatures import ComponentFilter
 from repro.trace.stream import ScenarioInstance, TraceStream
 from repro.waitgraph.builder import build_wait_graph
-from repro.waitgraph.graph import WaitGraph
 
 
 def collect_instances(
@@ -43,21 +42,6 @@ class ImpactAnalysis:
 
     def __init__(self, component_patterns: Sequence[str]):
         self.component_filter = ComponentFilter(component_patterns)
-        self._graph_cache: Dict[tuple, WaitGraph] = {}
-
-    @property
-    def graph_cache(self) -> Dict[tuple, WaitGraph]:
-        """The instance-key → WaitGraph cache (shareable across analyses)."""
-        return self._graph_cache
-
-    def graph_for(self, instance: ScenarioInstance) -> WaitGraph:
-        """Build (or fetch from cache) the Wait Graph of an instance."""
-        key = instance.key
-        graph = self._graph_cache.get(key)
-        if graph is None:
-            graph = build_wait_graph(instance)
-            self._graph_cache[key] = graph
-        return graph
 
     def analyze_instances(
         self, instances: Iterable[ScenarioInstance]
@@ -66,7 +50,7 @@ class ImpactAnalysis:
         accumulator = ImpactAccumulator(self.component_filter)
         count = 0
         for instance in instances:
-            accumulator.add_graph(self.graph_for(instance))
+            accumulator.add_graph(build_wait_graph(instance))
             count += 1
         if count == 0:
             raise AnalysisError("impact analysis needs at least one instance")
@@ -77,8 +61,18 @@ class ImpactAnalysis:
         streams: Iterable[TraceStream],
         scenarios: Optional[Sequence[str]] = None,
     ) -> ImpactResult:
-        """Run impact analysis over every instance in a corpus."""
-        return self.analyze_instances(collect_instances(streams, scenarios))
+        """Run impact analysis over every instance in a corpus.
+
+        A thin call into :func:`repro.pipeline.parallel_impact` over the
+        in-memory streams, at one worker.
+        """
+        from repro.pipeline import parallel_impact
+
+        return parallel_impact(
+            list(streams),
+            self.component_filter.patterns,
+            scenarios=scenarios,
+        )
 
     def analyze_per_scenario(
         self, streams: Iterable[TraceStream]

@@ -4,8 +4,10 @@ Scales the paper-scale workload (≈19,500 trace streams, 339 compute
 hours) by partitioned graph construction with a cheap merge step: corpus
 sources are chunked, workers build Wait Graphs and *partial* Aggregated
 Wait Graphs per chunk (map), and the partials merge deterministically
-into results identical to a sequential run (reduce).  See
-``docs/PIPELINE.md`` for the architecture and knobs.
+into results identical for any worker count (reduce).  It is the only
+corpus-analysis path: ``run_study`` and ``ImpactAnalysis.analyze_corpus``
+are thin wrappers over it.  See ``docs/PIPELINE.md`` for the
+architecture and knobs.
 """
 
 from repro.pipeline.api import (
@@ -19,11 +21,7 @@ from repro.pipeline.api import (
     prewarm_store,
 )
 from repro.pipeline.chunking import chunk_sources, default_chunk_size
-from repro.pipeline.executor import (
-    fork_available,
-    process_map,
-    process_map_resilient,
-)
+from repro.pipeline.executor import fork_available, process_map_resilient
 from repro.pipeline.worker import (
     ChunkPartial,
     ChunkTask,
@@ -53,6 +51,5 @@ __all__ = [
     "parallel_impact",
     "parallel_study",
     "prewarm_store",
-    "process_map",
     "process_map_resilient",
 ]

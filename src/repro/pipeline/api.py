@@ -12,10 +12,11 @@ per-chunk partials are folded in chunk order (reduce):
   with Algorithm 1's non-optimizable reduction applied once, post-merge;
 * contrast mining, ranking and coverage run on the merged structures.
 
-Because chunks are contiguous and partials fold in order, every entry
-point is a drop-in replacement for its sequential counterpart: the
-results — down to trie node insertion order and rendered study tables —
-are identical for any worker count and chunk size.
+Because chunks are contiguous and partials fold in order, the results —
+down to trie node insertion order and rendered study tables — are
+identical for any worker count and chunk size.  These entry points are
+the only corpus-analysis path: the CLI commands, ``run_study`` and
+``ImpactAnalysis.analyze_corpus`` all run through them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.evaluation.study import (
 )
 from repro.impact.metrics import ImpactAccumulator, ImpactResult
 from repro.pipeline.chunking import chunk_sources, default_chunk_size
-from repro.pipeline.executor import process_map, process_map_resilient
+from repro.pipeline.executor import process_map_resilient
 from repro.pipeline.worker import (
     ChunkPartial,
     ChunkTask,
@@ -161,7 +162,8 @@ def _run_chunks(
     per-trace failures recorded inside the partials are folded into
     ``health``, and a trace that persistently kills workers is
     quarantined (non-strict) or aborts with
-    :class:`~repro.errors.WorkerCrashError` (strict).
+    :class:`~repro.errors.WorkerCrashError` (strict).  A strict run at
+    one worker maps in-process: no fork, no pickling.
     """
     validate_on_error(on_error)
     validate_max_retries(max_retries)
@@ -242,7 +244,7 @@ def _run_chunks(
     previous = set_inherited_corpus(in_memory)
     try:
         if on_error == "strict" and workers <= 1:
-            partials = process_map(analyze_chunk, tasks, workers)
+            partials = [analyze_chunk(task) for task in tasks]
         else:
             partials = process_map_resilient(
                 analyze_chunk,
@@ -370,11 +372,10 @@ def parallel_impact(
 ) -> ImpactResult:
     """Impact analysis (§3) over a corpus, fanned out across workers.
 
-    Equivalent to ``ImpactAnalysis(patterns).analyze_corpus(...)`` for
-    any worker count, with or without an artifact ``store``.  Under a
-    non-strict ``on_error`` policy the result equals the strict analysis
-    of the corpus's surviving traces; ``health`` collects what was
-    skipped, salvaged and quarantined.
+    The result is identical for any worker count, with or without an
+    artifact ``store``.  Under a non-strict ``on_error`` policy it
+    equals the strict analysis of the corpus's surviving traces;
+    ``health`` collects what was skipped, salvaged and quarantined.
     """
     partials = _run_chunks(
         sources,
@@ -415,7 +416,9 @@ def parallel_causality(
     """Causality analysis (§4) of one scenario, fanned out across workers.
 
     Equivalent to ``CausalityAnalysis(...).analyze(...)`` over the
-    scenario's instances in corpus order, for any worker count.
+    scenario's instances in corpus order, for any worker count, except
+    that ``report.classes`` holds :class:`~repro.pipeline.InstanceRef`
+    descriptors instead of full scenario instances.
     """
     if segment_bound < 1:
         raise AnalysisError("segment_bound must be >= 1")
@@ -455,8 +458,7 @@ def _study_thresholds(
     """The per-scenario threshold table a study run classifies against.
 
     Unknown requested scenarios are dropped here and fail at reduce time
-    only when the corpus actually contains them, matching the sequential
-    driver.
+    only when the corpus actually contains them.
     """
     if scenarios is not None:
         return {
@@ -524,10 +526,9 @@ def parallel_study(
 ) -> StudyResult:
     """The full §5 evaluation over a corpus, fanned out across workers.
 
-    Equivalent to :func:`repro.evaluation.study.run_study` — same
-    tables, same pattern rankings, same coverages — for any worker count
-    and chunk size.  The map phase builds each instance's Wait Graph
-    exactly once per chunk and ships back only mergeable partials.
+    Same tables, same pattern rankings, same coverages for any worker
+    count and chunk size.  The map phase builds each instance's Wait
+    Graph exactly once and ships back only mergeable partials.
     Under ``on_error="skip"``/``"salvage"`` the tables are byte-identical
     to a strict study of the corpus's surviving traces (the fuzz
     property the resilience tests pin down); ``health`` collects every
@@ -553,9 +554,9 @@ def parallel_study(
         raise AnalysisError("impact analysis needs at least one instance")
     result = StudyResult(impact=merged_impact.result())
 
-    # Reproduce group_by_scenario's ordering: requested order when given,
-    # otherwise Table 1 registry order followed by any other scenarios in
-    # corpus appearance order.
+    # Scenario order matches group_by_scenario: requested order when
+    # given, otherwise Table 1 registry order followed by any other
+    # scenarios in corpus appearance order.
     present = _present_scenarios(partials)
     if scenarios is not None:
         ordered = [name for name in scenarios if name in present]

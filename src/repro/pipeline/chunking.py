@@ -2,7 +2,7 @@
 
 Chunks are **contiguous, in-order slices** of the corpus source list.
 That invariant is what makes the parallel pipeline's output provably
-identical to a sequential run: folding per-chunk partial results in
+identical to a single-chunk run: folding per-chunk partial results in
 chunk order visits every stream — and therefore inserts every AWG trie
 node and accumulator entry — in exactly the corpus order a single-pass
 analysis would use.

@@ -1,23 +1,17 @@
-"""Process-pool execution with a sequential fallback.
+"""Crash-isolating process-pool execution.
 
-The pipeline mirrors the corpus generator's fork-pool pattern: workers
-are forked so they inherit the parent's address space (cheap access to
-in-memory corpora), and platforms without the ``fork`` start method —
-or single-task runs — degrade to an in-process loop with identical
-results.
+Workers are forked so they inherit the parent's address space (cheap
+access to in-memory corpora); on platforms without the ``fork`` start
+method the map degrades to an in-process loop with identical results.
 
-Two executors live here:
-
-* :func:`process_map` — the plain fan-out.  ``Pool.map`` semantics; a
-  worker process dying mid-chunk is fatal to the run.
-* :func:`process_map_resilient` — the fault-isolating fan-out.  Worker
-  death is detected (the pool breaks), the pool is rebuilt, and the
-  affected chunks are retried with exponential backoff and bisected to
-  isolate the poison trace; a single-source chunk that keeps killing
-  workers is attempted once in-process and finally handed to the
-  caller's ``failed`` callback.  Results are reassembled from the
-  bisection tree in task order, so the fold downstream is exactly as
-  deterministic as with :func:`process_map`.
+:func:`process_map_resilient` is the one fan-out: the pipeline's map
+phase, the schedule explorer and the corpus generator all run on it.
+Worker death is detected (the pool breaks), the pool is rebuilt, and the
+affected tasks are retried with exponential backoff and, when the caller
+can split them, bisected to isolate the poison input; a task that keeps
+killing workers is attempted once in-process and finally handed to the
+caller's ``failed`` callback.  Results are reassembled from the
+bisection tree in task order, so the fold downstream is deterministic.
 """
 
 from __future__ import annotations
@@ -25,6 +19,8 @@ from __future__ import annotations
 import multiprocessing
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+
+from repro.errors import WorkerCrashError
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
@@ -43,24 +39,17 @@ def fork_available() -> bool:
     return fork_context() is not None
 
 
-def process_map(
-    func: Callable[[TaskT], ResultT],
-    tasks: Sequence[TaskT],
-    workers: int,
-) -> List[ResultT]:
-    """``[func(t) for t in tasks]``, fanned out over a fork pool.
+def _unsplittable(task):
+    """Default ``split``: tasks are atomic, so a crash is never bisected."""
+    return None
 
-    Results come back in task order (``Pool.map`` semantics), so callers
-    can fold them deterministically.  Runs sequentially — same results,
-    one process — when ``workers <= 1``, when there is at most one task,
-    or when ``fork`` is unavailable (spawn-only platforms).
-    """
-    tasks = list(tasks)
-    context = fork_context() if workers > 1 and len(tasks) > 1 else None
-    if context is None:
-        return [func(task) for task in tasks]
-    with context.Pool(min(workers, len(tasks))) as pool:
-        return pool.map(func, tasks)
+
+def _crash_is_fatal(task, exc: BaseException):
+    """Default ``failed``: a task that keeps killing workers aborts the run."""
+    raise WorkerCrashError(
+        f"worker kept dying while running {task!r}; retry and in-process "
+        "fallback budgets are exhausted"
+    ) from exc
 
 
 #: Longest single backoff sleep between crash-retry rounds, seconds.
@@ -72,9 +61,9 @@ def process_map_resilient(
     tasks: Sequence[TaskT],
     workers: int,
     *,
-    split: Callable[[TaskT], Optional[Tuple[TaskT, TaskT]]],
-    merge: Callable[[List[ResultT]], ResultT],
-    failed: Callable[[TaskT, BaseException], ResultT],
+    split: Callable[[TaskT], Optional[Tuple[TaskT, TaskT]]] = _unsplittable,
+    merge: Optional[Callable[[List[ResultT]], ResultT]] = None,
+    failed: Callable[[TaskT, BaseException], ResultT] = _crash_is_fatal,
     max_retries: int = 2,
     backoff_base: float = 0.05,
     health=None,
@@ -97,17 +86,22 @@ def process_map_resilient(
       substitute result — which may raise to abort the run (strict
       policy) or return an empty partial recording a quarantine.
 
-    ``split`` returns ``None`` for unsplittable tasks.  ``merge`` folds
-    a ``[left, right]`` result pair back into one, in order, so the
-    returned list matches ``tasks`` position for position and the
-    downstream fold stays byte-deterministic.  ``health``, when given,
-    receives executor-level counters (``retries``, ``worker_restarts``,
-    ``sequential_fallbacks``) by attribute increment.
+    ``split`` returns ``None`` for unsplittable tasks; the default never
+    splits.  ``merge`` folds a ``[left, right]`` result pair back into
+    one, in order, so the returned list matches ``tasks`` position for
+    position and the downstream fold stays byte-deterministic; it is
+    required exactly when ``split`` can return halves.  The default
+    ``failed`` raises :class:`~repro.errors.WorkerCrashError`.
+    ``health``, when given, receives executor-level counters
+    (``retries``, ``worker_restarts``, ``sequential_fallbacks``) by
+    attribute increment.
 
     Exceptions *raised* by ``func`` inside a live worker are not crash
-    recovery's business: they propagate unchanged, exactly as under
-    :func:`process_map`.  Without a ``fork`` context the whole map runs
-    in-process (no crash isolation is possible on spawn-only platforms).
+    recovery's business: they propagate unchanged.  The pool is forked
+    even at ``workers=1`` (one isolated worker); callers that want no
+    fork at one worker loop in-process themselves.  Without a ``fork``
+    context the whole map runs in-process (no crash isolation is
+    possible on spawn-only platforms).
     """
     tasks = list(tasks)
     context = fork_context()

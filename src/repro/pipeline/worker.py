@@ -11,8 +11,9 @@ sources plus the analysis configuration — and returns a
   Wait Graphs for the fast and slow classes, and a partial slow-class
   impact accumulator for coverage evaluation.
 
-Each instance's Wait Graph is built exactly once per chunk and shared by
-every consumer, mirroring the sequential study's shared graph cache.
+Each instance's Wait Graph is built at most once and shared by every
+consumer: impact accumulation and the fast/slow AWGs.  A between-class
+instance of a run without impact accumulation needs none.
 Partials are plain picklable values; streams themselves never travel
 back through the pool.
 
@@ -37,6 +38,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.causality.classes import contrast_class
 from repro.errors import ConfigError, ResilienceError, TraceError
 from repro.impact.metrics import ImpactAccumulator
 from repro.resilience.health import TraceFailure, failure_from_exception
@@ -157,17 +159,21 @@ class ScenarioPartial:
     def add_instance(
         self,
         instance: ScenarioInstance,
-        graph: WaitGraph,
+        graph: Optional[WaitGraph],
         component_filter: ComponentFilter,
     ) -> None:
-        """Classify one instance and fold its graph into the partials."""
+        """Classify one instance and fold its graph into the partials.
+
+        ``graph`` is only read for the fast and slow classes; a
+        between-class instance may pass ``None``.
+        """
         self._ensure_parts(component_filter)
         ref = InstanceRef.of(instance)
-        duration = instance.duration
-        if duration < self.t_fast:
+        side = contrast_class(instance.duration, self.t_fast, self.t_slow)
+        if side == "fast":
             self.fast_refs.append(ref)
             self.fast_awg.add_graph(graph)
-        elif duration > self.t_slow:
+        elif side == "slow":
             self.slow_refs.append(ref)
             self.slow_awg.add_graph(graph)
             self.slow_impact.add_graph(graph)
@@ -235,8 +241,8 @@ class ChunkPartial:
     impact: Optional[ImpactAccumulator]
     scenarios: Dict[str, ScenarioPartial]
     #: every scenario name seen in the chunk, first-appearance order —
-    #: lets the reduce phase reproduce sequential scenario ordering and
-    #: report unknown scenarios exactly like a sequential run.
+    #: lets the reduce phase order scenarios like ``group_by_scenario``
+    #: and name the present scenarios when a requested one is missing.
     present: List[str]
     streams: int = 0
     instances: int = 0
@@ -425,12 +431,17 @@ def _analyze_sources(
             count_impact = impact is not None and (
                 impact_wanted is None or name in impact_wanted
             )
-            if not count_impact and thresholds is None:
-                continue
-            graph = graphs.get(instance.key)
-            if graph is None:
-                graph = build_wait_graph(instance)
-                graphs[instance.key] = graph
+            # A between-class instance feeds no AWG, so its graph is built
+            # only when impact accumulation wants it.
+            feeds_awg = thresholds is not None and (
+                contrast_class(instance.duration, *thresholds) != "between"
+            )
+            graph = None
+            if count_impact or feeds_awg:
+                graph = graphs.get(instance.key)
+                if graph is None:
+                    graph = build_wait_graph(instance)
+                    graphs[instance.key] = graph
             if count_impact:
                 impact.add_graph(graph)
             if thresholds is not None:

@@ -12,9 +12,9 @@ the cost-propagation structure the analyses measure.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -218,38 +218,27 @@ def generate_stream(index: int, config: CorpusConfig) -> TraceStream:
     return machine.run_and_trace(until=horizon_us + 3 * SECONDS)
 
 
-def _fork_context():
-    """The ``fork`` multiprocessing context, or ``None`` when unavailable.
-
-    Workloads and machines are built in-process and handed to workers by
-    address-space inheritance, which only ``fork`` provides; spawn-only
-    platforms (macOS defaults, Windows) must fall back to sequential
-    generation instead of crashing.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-
-
 def generate_corpus(
     config: CorpusConfig = CorpusConfig(), workers: int = 1
 ) -> List[TraceStream]:
     """Generate the full corpus described by ``config``.
 
-    ``workers > 1`` generates streams in parallel processes; streams are
-    independent and seeded per index, so the result is identical to a
-    serial run.  When the ``fork`` start method is unavailable the
-    generation silently runs sequentially (same output, one process).
+    ``workers > 1`` generates streams in parallel processes on the
+    pipeline's crash-isolating executor; streams are independent and
+    seeded per index, so the result is identical to a serial run.  When
+    the ``fork`` start method is unavailable the generation silently
+    runs in-process (same output, one process).
     """
+    # Deferred: repro.pipeline imports this package's scenario registry.
+    from repro.pipeline.executor import process_map_resilient
+
     config.validate()
-    context = _fork_context() if workers > 1 and config.streams > 1 else None
-    if context is None:
+    if workers <= 1:
         return [
             generate_stream(index, config) for index in range(config.streams)
         ]
-    with context.Pool(min(workers, config.streams)) as pool:
-        return pool.starmap(
-            generate_stream,
-            [(index, config) for index in range(config.streams)],
-        )
+    return process_map_resilient(
+        partial(generate_stream, config=config),
+        range(config.streams),
+        workers,
+    )

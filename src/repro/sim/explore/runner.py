@@ -6,8 +6,8 @@ across a spread of workload intensities.  Cells are completely
 independent and derive every random decision from their grid
 coordinates, so a sweep is reproducible decision-for-decision: the same
 grid produces the byte-identical coverage report at any worker count
-(:func:`~repro.pipeline.executor.process_map` returns results in task
-order).
+(:func:`~repro.pipeline.executor.process_map_resilient` returns results
+in task order).
 
 Coverage is measured in *distinct contention shapes*
 (:func:`~repro.sim.explore.fingerprint.shape_fingerprint`), not runs:
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
-from repro.pipeline.executor import process_map
+from repro.pipeline.executor import process_map_resilient
 from repro.report.tables import Table
 from repro.sim.explore.fingerprint import shape_fingerprint
 from repro.sim.machine import Machine, MachineConfig
@@ -317,10 +317,15 @@ def explore_schedules(
 ) -> CoverageReport:
     """Sweep the policy × seed grid and report contention-shape coverage.
 
-    Cells run in parallel via the pipeline's fork-pool executor when
-    ``workers > 1``; results fold in task order, so the report is
+    Cells run in-process at one worker and otherwise in parallel on the
+    pipeline's crash-isolating executor, which retries a cell whose
+    worker died; results fold in task order, so the report is
     byte-identical at any worker count.
     """
     config.validate()
-    results = process_map(run_cell, config.cells(), workers)
+    cells = config.cells()
+    if workers <= 1:
+        results = [run_cell(cell) for cell in cells]
+    else:
+        results = process_map_resilient(run_cell, cells, workers)
     return CoverageReport(cells=tuple(results))

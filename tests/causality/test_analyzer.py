@@ -92,17 +92,6 @@ class TestEndToEnd:
         impacts = [pattern.impact for pattern in report.patterns]
         assert impacts == sorted(impacts, reverse=True)
 
-    def test_graph_cache_shared(self):
-        instances = engineered_instances()
-        cache = {}
-        analysis = CausalityAnalysis(["*.sys"])
-        analysis.analyze(
-            instances, 5 * MS, 20 * MS, scenario="TabOpen", graph_cache=cache
-        )
-        assert len(cache) == len(instances) - len(
-            [i for i in instances if 5 * MS <= i.duration <= 20 * MS]
-        )
-
     def test_smaller_k_fewer_or_equal_metas(self):
         instances = engineered_instances()
         small = CausalityAnalysis(["*.sys"], segment_bound=1).analyze(

@@ -1,9 +1,11 @@
 """Tests for the schedule-exploration sweep and its coverage report."""
 
 import json
+import os
 
 import pytest
 
+import repro.sim.explore.runner as explore_runner
 from repro.errors import ConfigError
 from repro.sim.explore.runner import (
     CellResult,
@@ -24,6 +26,23 @@ TINY = ExploreConfig(
     repeats=2,
     think_median_us=20_000,
 )
+
+MAIN_PID = os.getpid()
+
+
+def _kill_once_cell(cell):
+    """Kill the worker running the grid's second cell, the first time only.
+
+    Module-level so fork children resolve it by reference; the PID guard
+    keeps the crash out of the pytest process itself.
+    """
+    flag = os.environ["REPRO_TEST_KILL_FLAG"]
+    if cell == TINY.cells()[1] and os.getpid() != MAIN_PID:
+        if not os.path.exists(flag):
+            with open(flag, "w", encoding="utf-8") as handle:
+                handle.write("crashed once")
+            os._exit(1)
+    return run_cell(cell)
 
 
 class TestConfig:
@@ -93,6 +112,16 @@ class TestCoverageReport:
             assert explore_schedules(TINY, workers=workers).to_json() == (
                 baseline
             )
+
+    def test_worker_death_is_retried_to_the_same_report(
+        self, report, monkeypatch, tmp_path
+    ):
+        flag = tmp_path / "killed"
+        monkeypatch.setenv("REPRO_TEST_KILL_FLAG", str(flag))
+        monkeypatch.setattr(explore_runner, "run_cell", _kill_once_cell)
+        recovered = explore_schedules(TINY, workers=2)
+        assert flag.exists(), "the kill wrapper never ran in a worker"
+        assert recovered.to_json() == report.to_json()
 
     def test_json_is_canonical_and_complete(self, report):
         payload = json.loads(report.to_json())

@@ -30,13 +30,6 @@ class TestImpactAnalysis:
         assert 0 <= result.ia_run < result.ia_wait
         assert result.d_waitdist <= result.d_wait
 
-    def test_graph_cache_reused(self, small_corpus):
-        analysis = ImpactAnalysis(["*.sys"])
-        analysis.analyze_corpus(small_corpus)
-        cached = len(analysis._graph_cache)
-        analysis.analyze_corpus(small_corpus)
-        assert len(analysis._graph_cache) == cached
-
     def test_per_scenario(self, small_corpus):
         results = ImpactAnalysis(["*.sys"]).analyze_per_scenario(small_corpus)
         assert len(results) >= 2

@@ -44,17 +44,24 @@ class TestDefaultChunkSize:
 
 
 class TestProcessMap:
-    def test_sequential_path_preserves_order(self):
-        from repro.pipeline.executor import process_map
+    """``process_map_resilient`` with its default (unsplittable) callbacks."""
 
-        assert process_map(_double, [1, 2, 3], workers=1) == [2, 4, 6]
+    def test_sequential_path_preserves_order(self):
+        from repro.pipeline.executor import process_map_resilient
+
+        assert process_map_resilient(_double, [1, 2, 3], workers=1) == [
+            2, 4, 6,
+        ]
 
     def test_parallel_path_preserves_order(self):
-        from repro.pipeline.executor import fork_available, process_map
+        from repro.pipeline.executor import (
+            fork_available,
+            process_map_resilient,
+        )
 
         if not fork_available():
             pytest.skip("fork start method unavailable")
-        assert process_map(_double, list(range(8)), workers=4) == [
+        assert process_map_resilient(_double, list(range(8)), workers=4) == [
             0, 2, 4, 6, 8, 10, 12, 14,
         ]
 
@@ -62,7 +69,9 @@ class TestProcessMap:
         import repro.pipeline.executor as executor
 
         monkeypatch.setattr(executor, "fork_context", lambda: None)
-        assert executor.process_map(_double, [3, 5], workers=4) == [6, 10]
+        assert executor.process_map_resilient(
+            _double, [3, 5], workers=4
+        ) == [6, 10]
 
 
 def _double(x):

@@ -12,13 +12,13 @@ import pytest
 
 import repro.pipeline.api as pipeline_api
 from repro.errors import WorkerCrashError
-from repro.evaluation.study import run_study
 from repro.pipeline import parallel_study, process_map_resilient
 from repro.pipeline.worker import analyze_chunk
 from repro.report.markdown import study_to_markdown
 from repro.resilience import RunHealth
 from repro.sim.corpus import CorpusConfig, generate_corpus
 from repro.trace import dump_corpus, iter_corpus_paths, load_corpus
+from tests.reference.sequential import reference_study
 
 MAIN_PID = os.getpid()
 
@@ -117,6 +117,13 @@ class TestProcessMapResilient:
                 failed=explode, max_retries=0, backoff_base=0.0,
             )
 
+    def test_default_failed_raises_worker_crash_error(self):
+        with pytest.raises(WorkerCrashError, match="worker kept dying"):
+            process_map_resilient(
+                _die_on_nine, [[1], [9]], workers=2,
+                max_retries=0, backoff_base=0.0,
+            )
+
 
 # ---------------------------------------------------------------------------
 # Pipeline-level recovery (full study through a dying map phase)
@@ -132,7 +139,7 @@ def crash_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def clean_markdown(crash_corpus):
-    return study_to_markdown(run_study(list(load_corpus(crash_corpus))))
+    return study_to_markdown(reference_study(list(load_corpus(crash_corpus))))
 
 
 @pytest.fixture()

@@ -1,9 +1,9 @@
-"""Parallel pipeline ≡ sequential analysis, end to end.
+"""Parallel pipeline ≡ sequential reference analysis, end to end.
 
 The acceptance bar for the map–reduce pipeline: for any worker count and
 chunk size, `parallel_impact` / `parallel_causality` / `parallel_study`
-must reproduce the sequential analyzers exactly — down to the rendered
-study tables being byte-identical.
+must reproduce the instance-level reference in `tests/reference/` exactly
+— down to the rendered study tables being byte-identical.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.causality import CausalityAnalysis
 from repro.errors import AnalysisError
 from repro.evaluation.study import run_study
-from repro.impact import ImpactAnalysis
 from repro.pipeline import (
     parallel_causality,
     parallel_impact,
@@ -20,6 +19,7 @@ from repro.pipeline import (
 from repro.report.markdown import study_to_markdown
 from repro.sim.workloads.registry import scenario_spec
 from repro.trace import dump_corpus, iter_corpus_paths
+from tests.reference.sequential import reference_impact, reference_study
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def corpus_paths(small_corpus, tmp_path_factory):
 
 class TestParallelImpact:
     def test_matches_sequential(self, small_corpus, corpus_paths):
-        sequential = ImpactAnalysis(["*.sys"]).analyze_corpus(small_corpus)
+        sequential = reference_impact(small_corpus)
         for workers, chunk_size in [(1, None), (4, 1), (4, 2), (2, 3)]:
             parallel = parallel_impact(
                 corpus_paths, workers=workers, chunk_size=chunk_size
@@ -40,16 +40,14 @@ class TestParallelImpact:
 
     def test_scenario_filter_matches(self, small_corpus, corpus_paths):
         scenarios = ["WebPageNavigation"]
-        sequential = ImpactAnalysis(["*.sys"]).analyze_corpus(
-            small_corpus, scenarios=scenarios
-        )
+        sequential = reference_impact(small_corpus, scenarios=scenarios)
         parallel = parallel_impact(
             corpus_paths, scenarios=scenarios, workers=3
         )
         assert parallel == sequential
 
     def test_in_memory_sources(self, small_corpus):
-        sequential = ImpactAnalysis(["*.sys"]).analyze_corpus(small_corpus)
+        sequential = reference_impact(small_corpus)
         parallel = parallel_impact(list(small_corpus), workers=2)
         assert parallel == sequential
 
@@ -86,6 +84,29 @@ class TestParallelCausality:
             i.key for i in sequential.classes.slow
         ]
 
+    def test_between_class_graphs_are_not_built(
+        self, small_corpus, monkeypatch
+    ):
+        import repro.pipeline.worker as worker
+
+        built = []
+        build = worker.build_wait_graph
+
+        def counting_build(instance):
+            built.append(instance.key)
+            return build(instance)
+
+        monkeypatch.setattr(worker, "build_wait_graph", counting_build)
+        name = "WebPageNavigation"
+        spec = scenario_spec(name)
+        report = parallel_causality(
+            list(small_corpus), name, spec.t_fast, spec.t_slow
+        )
+        assert report.classes.between
+        assert len(built) == len(report.classes.fast) + len(
+            report.classes.slow
+        )
+
     def test_missing_scenario_reports_present_ones(self, corpus_paths):
         with pytest.raises(AnalysisError, match="scenarios present"):
             parallel_causality(
@@ -103,7 +124,7 @@ class TestParallelStudy:
     def test_tables_byte_identical_across_worker_counts(
         self, small_corpus, corpus_paths
     ):
-        sequential = study_to_markdown(run_study(small_corpus))
+        sequential = study_to_markdown(reference_study(small_corpus))
         for workers, chunk_size in [(1, None), (4, 1), (4, None), (2, 3)]:
             parallel = study_to_markdown(
                 parallel_study(
@@ -111,15 +132,12 @@ class TestParallelStudy:
                 )
             )
             assert parallel == sequential
-
-    def test_run_study_workers_delegates(self, small_corpus):
-        sequential = study_to_markdown(run_study(small_corpus))
-        parallel = study_to_markdown(run_study(small_corpus, workers=2))
-        assert parallel == sequential
+        # run_study: the same pipeline over in-memory streams.
+        assert study_to_markdown(run_study(small_corpus)) == sequential
 
     def test_scenario_subset(self, small_corpus, corpus_paths):
         wanted = ["WebPageNavigation", "BrowserTabCreate"]
-        sequential = run_study(small_corpus, scenarios=wanted)
+        sequential = reference_study(small_corpus, scenarios=wanted)
         parallel = parallel_study(corpus_paths, scenarios=wanted, workers=3)
         assert list(parallel.scenarios) == list(sequential.scenarios)
         assert parallel.table1_rows() == sequential.table1_rows()

@@ -9,13 +9,12 @@ encodings, and any worker count.
 import pytest
 
 from repro.errors import TraceError, TraceSalvageError
-from repro.evaluation.study import run_study
-from repro.impact import ImpactAnalysis
 from repro.pipeline import parallel_impact, parallel_study
 from repro.report.markdown import study_to_markdown
 from repro.resilience import CORRUPTORS, RunHealth, fuzz_corpus
 from repro.sim.corpus import CorpusConfig, generate_corpus
 from repro.trace import dump_corpus, iter_corpus_paths, load_stream
+from tests.reference.sequential import reference_impact, reference_study
 
 FUZZ_SEED = 20140301
 WORKER_COUNTS = (1, 2, 4)
@@ -76,7 +75,7 @@ def test_impact_equals_strict_analysis_of_survivors(
     for policy in ("skip", "salvage"):
         survivors = _survivors(directory, policy)
         assert survivors, f"{corruptor} left no survivors at fraction 0.5"
-        expected = ImpactAnalysis(["*.sys"]).analyze_corpus(survivors)
+        expected = reference_impact(survivors)
         for workers in WORKER_COUNTS:
             health = RunHealth()
             result = parallel_impact(
@@ -95,7 +94,7 @@ def test_study_markdown_is_byte_identical_to_survivor_study(
     directory = _fuzzed_dir(tmp_path_factory, tiny_corpus, "jsonl", "truncate")
     paths = iter_corpus_paths(directory)
     survivors = _survivors(directory, "salvage")
-    expected = study_to_markdown(run_study(survivors))
+    expected = study_to_markdown(reference_study(survivors))
     for workers in WORKER_COUNTS:
         study = parallel_study(paths, workers=workers, on_error="salvage")
         assert study_to_markdown(study) == expected

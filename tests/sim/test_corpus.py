@@ -193,14 +193,12 @@ class TestParallelGeneration:
 
     def test_falls_back_when_fork_unavailable(self, monkeypatch):
         """Spawn-only platforms must generate sequentially, not crash."""
-        import repro.sim.corpus as corpus_module
+        import multiprocessing
 
         def no_fork(method=None):
             raise ValueError(f"cannot find context for {method!r}")
 
-        monkeypatch.setattr(
-            corpus_module.multiprocessing, "get_context", no_fork
-        )
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         config = CorpusConfig(streams=2, seed=321)
         fallback = generate_corpus(config, workers=4)
         monkeypatch.undo()

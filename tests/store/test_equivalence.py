@@ -15,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.causality import CausalityAnalysis
-from repro.evaluation.study import run_study
-from repro.impact import ImpactAnalysis
 from repro.pipeline import (
     parallel_causality,
     parallel_impact,
@@ -27,6 +25,7 @@ from repro.report.markdown import study_to_markdown
 from repro.sim.workloads.registry import scenario_spec
 from repro.store import ArtifactStore
 from repro.trace import dump_corpus, iter_corpus_paths
+from tests.reference.sequential import reference_impact, reference_study
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -40,8 +39,8 @@ def corpus_paths(small_corpus, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def baseline_markdown(small_corpus):
-    """The storeless sequential study, rendered — the golden bytes."""
-    return study_to_markdown(run_study(small_corpus))
+    """The storeless sequential reference study, rendered — the golden bytes."""
+    return study_to_markdown(reference_study(small_corpus))
 
 
 def _entry_paths(store):
@@ -157,7 +156,7 @@ class TestOtherEntryPoints:
     def test_impact_with_store_matches_sequential(
         self, small_corpus, corpus_paths, tmp_path
     ):
-        sequential = ImpactAnalysis(["*.sys"]).analyze_corpus(small_corpus)
+        sequential = reference_impact(small_corpus)
         store = ArtifactStore(tmp_path / "store")
         cold = parallel_impact(corpus_paths, workers=2, store=store)
         warm = parallel_impact(corpus_paths, workers=2, store=store)

@@ -69,6 +69,12 @@ class TestCausality:
             "causality", str(corpus_dir), "--scenario", "NoSuchScenario",
         ])
         assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown scenario 'NoSuchScenario'" in err
+        assert "pass --t-fast and --t-slow" in err
+        # The registered scenarios are named, so a typo is easy to fix.
+        assert "known: AppAccessControl" in err
+        assert "WebPageNavigation" in err
 
     def test_filter_by_design_flag(self, corpus_dir, capsys):
         code = main([
